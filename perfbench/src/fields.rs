@@ -6,8 +6,10 @@
 //! monolithic container, Lorenzo¹, adaptive intervals, bake-off tail),
 //! then `decompress_with_threads(…, 1)`, then the output checks, then a
 //! repeat read that must give the same samples. A pass runs every field at
-//! every target; the first pass is warm-up.
+//! every target; the first pass is warm-up. Every time is scaled by the
+//! host-speed reference taken just before its op (see `calib`).
 
+use crate::calib::Reference;
 use crate::layers::{LayerTotals, OpRun};
 use crate::outcome::Outcome;
 use crate::stats::{check_bound, dims, median, percentile, psnr, Reads, MIB};
@@ -37,11 +39,14 @@ struct OpResult {
     psnr: f64,
 }
 
-/// Per-pass accumulators.
+/// Per-pass accumulators: host-scaled seconds, and the unscaled compress
+/// and decompress seconds for the stamp.
 #[derive(Default)]
 struct Pass {
     compress_s: f64,
     decompress_s: f64,
+    raw_compress_s: f64,
+    raw_decompress_s: f64,
 }
 
 struct Ctx<'a> {
@@ -52,12 +57,14 @@ struct Ctx<'a> {
 }
 
 pub fn run(targets: &[f64], seed: u64, seconds: f64, tr: &mut Tracer, out: &mut Outcome) {
+    let mut reference = Reference::new();
     let mut setup = Vec::with_capacity(SETUP_REPS);
     let mut fields = Vec::new();
     for _ in 0..SETUP_REPS {
+        let scale = reference.scale();
         let t0 = Instant::now();
         fields = corpus(seed);
-        setup.push(t0.elapsed().as_secs_f64());
+        setup.push(t0.elapsed().as_secs_f64() * scale);
     }
     let ranges: Vec<f64> = fields.iter().map(|f| f.data.stats().range()).collect();
     let raw_pass: usize = fields.iter().map(|f| f.data.len() * 4).sum::<usize>() * targets.len();
@@ -83,6 +90,7 @@ pub fn run(targets: &[f64], seed: u64, seconds: f64, tr: &mut Tracer, out: &mut 
     };
     let mut first: Vec<Option<OpResult>> = vec![None; fields.len() * targets.len()];
     let (mut pass_c, mut pass_d, mut pass_s) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut raw_c, mut raw_d) = (Vec::new(), Vec::new());
     let window = Duration::from_secs_f64(seconds);
     let mut measure_start = Instant::now();
     let mut op = 0u64;
@@ -100,11 +108,12 @@ pub fn run(targets: &[f64], seed: u64, seconds: f64, tr: &mut Tracer, out: &mut 
                 op += 1;
                 let slot = fi * targets.len() + ti;
                 let eb_abs = ebrel_for_psnr(target) * ranges[fi];
+                let scale = reference.scale();
                 let root = ctx.tr.begin("op.field_target", None, op);
                 let result = one_op(
                     &mut ctx,
                     &mut pass,
-                    (root, op),
+                    (root, op, scale),
                     &f.data,
                     target,
                     eb_abs,
@@ -129,6 +138,8 @@ pub fn run(targets: &[f64], seed: u64, seconds: f64, tr: &mut Tracer, out: &mut 
             pass_c.push(raw_pass as f64 / MIB / pass.compress_s);
             pass_d.push((READS_PER_OP * raw_pass) as f64 / MIB / pass.decompress_s);
             pass_s.push(pass.compress_s);
+            raw_c.push(raw_pass as f64 / MIB / pass.raw_compress_s);
+            raw_d.push((READS_PER_OP * raw_pass) as f64 / MIB / pass.raw_decompress_s);
         }
     }
 
@@ -146,16 +157,20 @@ pub fn run(targets: &[f64], seed: u64, seconds: f64, tr: &mut Tracer, out: &mut 
         n += 1.0;
     }
     let lat = &ctx.reads.lat;
+    out.stamp("host", reference.stamp());
     out.stamp(
         "samples",
         format!(
             "{{\"measured_passes\":{},\"reads\":{},\"reads_beyond_p99\":{},\
-             \"pass_compress_mib_s\":{:.1?},\"pass_decompress_mib_s\":{:.1?}}}",
+             \"pass_compress_mib_s\":{:.1?},\"pass_decompress_mib_s\":{:.1?},\
+             \"unscaled_compress_mib_s\":{:.1},\"unscaled_decompress_mib_s\":{:.1}}}",
             pass_c.len(),
             lat.len(),
             lat.len() / 100,
             pass_c,
-            pass_d
+            pass_d,
+            median(&raw_c),
+            median(&raw_d)
         ),
     );
     out.set("setup_s", median(&setup));
@@ -183,7 +198,7 @@ pub fn run(targets: &[f64], seed: u64, seconds: f64, tr: &mut Tracer, out: &mut 
 fn one_op(
     ctx: &mut Ctx<'_>,
     pass: &mut Pass,
-    (root, op): (Option<usize>, u64),
+    (root, op, scale): (Option<usize>, u64, f64),
     field: &ndfield::Field<f32>,
     target: f64,
     eb_abs: f64,
@@ -197,14 +212,16 @@ fn one_op(
         op,
         || compress_fixed_psnr_only(field, target, &opts),
     );
-    pass.compress_s += compress_s;
+    pass.compress_s += compress_s * scale;
+    pass.raw_compress_s += compress_s;
     let bytes = bytes.map_err(|e| format!("compress: {e}"))?;
     let (decoded, decompress_s) = tr.time("szlike::decompress_with_threads", root, op, || {
         szlike::decompress_with_threads::<f32>(&bytes, 1)
     });
-    pass.decompress_s += decompress_s;
+    pass.decompress_s += decompress_s * scale;
+    pass.raw_decompress_s += decompress_s;
     if measuring {
-        ctx.reads.push(field.len() * 4, decompress_s);
+        ctx.reads.push(field.len() * 4, decompress_s * scale);
     }
     let decoded = decoded.map_err(|e| format!("decompress: {e}"))?;
     let (achieved, _) = tr.time("check", root, op, || -> Result<f64, String> {
@@ -221,9 +238,10 @@ fn one_op(
         let (again, s) = tr.time("szlike::decompress_with_threads(repeat)", root, op, || {
             szlike::decompress_with_threads::<f32>(&bytes, 1)
         });
-        pass.decompress_s += s;
+        pass.decompress_s += s * scale;
+        pass.raw_decompress_s += s;
         if measuring {
-            ctx.reads.push(field.len() * 4, s);
+            ctx.reads.push(field.len() * 4, s * scale);
         }
         let again = again.map_err(|e| format!("repeat decompress: {e}"))?;
         if again

@@ -12,6 +12,7 @@
 //! and `metrics` — the end-to-end metrics with `--trace 0`, the per-layer
 //! metrics with `--trace 1`.
 
+mod calib;
 mod fields;
 mod layers;
 mod outcome;

@@ -7,9 +7,16 @@
 //! inside one hot octant, and 10% are full k-planes. The field (8 MiB)
 //! exceeds the 4 MiB cache; the hot octant (1 MiB) fits.
 //!
+//! The loop runs in rounds of half a second. Between rounds both
+//! connections are idle and the host-speed reference is taken on both
+//! vCPUs (see `calib`); latencies and the read rate are scaled by the
+//! median of these factors. Request latency follows the host's speed only
+//! loosely, so one round's factor would add more noise than it removes.
+//!
 //! Every response is checked bit for bit against slicing one in-process
 //! full decompress; error frames count as failures.
 
+use crate::calib::Reference;
 use crate::outcome::Outcome;
 use crate::stats::{median, percentile, psnr, ratio, MIB};
 use crate::trace::Tracer;
@@ -24,6 +31,7 @@ use std::ops::Range;
 use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 use szlike::{Region, StoreOptions, SzStore};
 
@@ -33,11 +41,12 @@ pub const TARGET_DB: f64 = 80.0;
 pub const CACHE_MB: usize = 4;
 const CUBE: usize = 32;
 const CONNECTIONS: usize = 2;
-/// Timed compress + decompress repeats of the whole field.
-const CODEC_REPS: usize = 12;
-/// Requests issued before this much time has passed fill the caches and
-/// are not measured.
-const WARM_UP: Duration = Duration::from_secs(1);
+/// Measured rounds per timed compress + decompress of the whole field.
+const ROUNDS_PER_ROUND_TRIP: usize = 2;
+/// Length of one round of the closed loop.
+const ROUND: Duration = Duration::from_millis(500);
+/// Rounds that fill the caches and are not measured.
+const WARM_UP_ROUNDS: usize = 2;
 /// Length of the seeded request sequence (cycled if a run outlasts it).
 const SEQUENCE: usize = 1 << 17;
 
@@ -290,9 +299,10 @@ fn stats(server: &Server) -> Result<String, String> {
     String::from_utf8(ok_body(&frame)?.to_vec()).map_err(|e| e.to_string())
 }
 
-/// One measured request: sequence index, start, latency, result.
+/// One request: sequence index, round, start, latency, result.
 struct Sample {
     idx: usize,
+    round: usize,
     start: Instant,
     latency: Duration,
     result: Result<usize, String>,
@@ -326,12 +336,14 @@ pub fn run(
         cache_budget: CACHE_MB << 20,
         ..StoreOptions::default()
     };
+    let mut reference = Reference::new();
     let (mut setup_s, mut open_s) = (Vec::new(), Vec::new());
     let mut ready: Option<Setup> = None;
     for _ in 0..SETUP_REPS {
         if let Some(prev) = ready.take() {
             prev.server.shutdown()?;
         }
+        let scale = reference.scale();
         let t0 = Instant::now();
         let data: Vec<f32> = grf_3d(DIM, DIM, DIM, 3.0, seed)
             .into_iter()
@@ -350,7 +362,7 @@ pub fn run(
         drop(store);
         let full = szlike::decompress_with_threads::<f32>(&container, 1)
             .map_err(|e| format!("full decompress: {e}"))?;
-        setup_s.push(t0.elapsed().as_secs_f64());
+        setup_s.push(t0.elapsed().as_secs_f64() * scale);
         ready = Some(Setup {
             field,
             container,
@@ -378,30 +390,29 @@ pub fn run(
             Err(format!("achieved PSNR {achieved} is not finite"))
         },
     );
-    // The grid writer and full-field reader on their own, half before the
-    // read phase and half after it, so a slow stretch of the host does not
-    // decide the median: every repeat must give the same bytes and samples.
+    // The grid writer and full-field reader on their own, between rounds
+    // of the read phase, so their median spans the run: every repeat must
+    // give the same bytes and samples.
     let (mut compress_s, mut decompress_s) = (Vec::new(), Vec::new());
-    let mut round_trips = |out: &mut Outcome| {
-        for _ in 0..CODEC_REPS / 2 {
-            let t0 = Instant::now();
-            let again = compress_fixed_psnr_only(&field, TARGET_DB, &opts);
-            compress_s.push(t0.elapsed().as_secs_f64());
-            let t1 = Instant::now();
-            let back = szlike::decompress_with_threads::<f32>(&container, 1);
-            decompress_s.push(t1.elapsed().as_secs_f64());
-            out.record(
-                "grid round trip",
-                match (again, back) {
-                    (Ok(a), Ok(b)) if a == container && b.as_slice() == full.as_slice() => Ok(()),
-                    (Err(e), _) => Err(format!("compress: {e}")),
-                    (_, Err(e)) => Err(format!("decompress: {e}")),
-                    _ => Err("repeat round trip differs from the first".into()),
-                },
-            );
-        }
+    let mut round_trip = |out: &mut Outcome, reference: &mut Reference| {
+        let scale = reference.scale();
+        let t0 = Instant::now();
+        let again = compress_fixed_psnr_only(&field, TARGET_DB, &opts);
+        compress_s.push(t0.elapsed().as_secs_f64() * scale);
+        let scale = reference.scale();
+        let t1 = Instant::now();
+        let back = szlike::decompress_with_threads::<f32>(&container, 1);
+        decompress_s.push(t1.elapsed().as_secs_f64() * scale);
+        out.record(
+            "grid round trip",
+            match (again, back) {
+                (Ok(a), Ok(b)) if a == container && b.as_slice() == full.as_slice() => Ok(()),
+                (Err(e), _) => Err(format!("compress: {e}")),
+                (_, Err(e)) => Err(format!("decompress: {e}")),
+                _ => Err("repeat round trip differs from the first".into()),
+            },
+        );
     };
-    round_trips(out);
     let n_blocks = SzStore::<f32>::open(&container)
         .map_err(|e| e.to_string())?
         .grid()
@@ -417,54 +428,86 @@ pub fn run(
         ),
     );
 
-    // The closed loop: two connections share one request sequence.
+    // The closed loop: two connections share one request sequence, in
+    // rounds. The main thread takes the reference while both connections
+    // wait at the barrier, then releases them until the round's end.
     let seq = requests(seed);
     let counter = AtomicUsize::new(0);
-    let start = Instant::now();
-    let warm_end = start + WARM_UP;
-    let end = warm_end + Duration::from_secs_f64(seconds);
+    let rounds = WARM_UP_ROUNDS + (seconds / ROUND.as_secs_f64()).ceil().max(1.0) as usize;
+    let barrier = Barrier::new(CONNECTIONS + 1);
+    // (round, end) of the round being run; None stops the clients.
+    let current: Mutex<Option<(usize, Instant)>> = Mutex::new(None);
     let mut warm_stats = String::new();
+    // Per measured round: host factor and wall seconds.
+    let mut round_scale = Vec::new();
+    let mut round_s = Vec::new();
     let per_conn: Vec<Result<Vec<Sample>, String>> = std::thread::scope(|sc| {
         let handles: Vec<_> = (0..CONNECTIONS)
             .map(|_| {
                 sc.spawn(|| -> Result<Vec<Sample>, String> {
-                    let mut conn = server.connect()?;
+                    // Every client keeps every round, even without a
+                    // connection, so the barrier is always full.
+                    let mut conn = server.connect();
+                    let connected = conn.as_ref().map(|_| ()).map_err(Clone::clone);
                     let mut samples = Vec::new();
                     loop {
-                        let t0 = Instant::now();
-                        if t0 >= end {
-                            return Ok(samples);
-                        }
-                        let idx = counter.fetch_add(1, Ordering::Relaxed);
-                        let region = &seq[idx % SEQUENCE];
-                        let reply = call(&mut conn, &read_payload(region));
-                        let latency = t0.elapsed();
-                        let (result, broken) = match reply {
-                            Ok(frame) => (
-                                ok_body(&frame).and_then(|b| check_region(b, region, &full)),
-                                false,
-                            ),
-                            Err(e) => (Err(e), true),
+                        barrier.wait();
+                        let Some((round, end)) = *current.lock().expect("round lock") else {
+                            return connected.map(|()| samples);
                         };
                         // A broken connection counts as a failed request and
-                        // ends this connection's loop.
-                        if t0 >= warm_end || broken {
+                        // sends no more.
+                        while let Ok(c) = conn.as_mut() {
+                            let t0 = Instant::now();
+                            if t0 >= end {
+                                break;
+                            }
+                            let idx = counter.fetch_add(1, Ordering::Relaxed);
+                            let region = &seq[idx % SEQUENCE];
+                            let reply = call(c, &read_payload(region));
+                            let latency = t0.elapsed();
+                            let result = match reply {
+                                Ok(frame) => {
+                                    ok_body(&frame).and_then(|b| check_region(b, region, &full))
+                                }
+                                Err(e) => {
+                                    conn = Err(e.clone());
+                                    Err(e)
+                                }
+                            };
                             samples.push(Sample {
                                 idx,
+                                round,
                                 start: t0,
                                 latency,
                                 result,
                             });
                         }
-                        if broken {
-                            return Ok(samples);
-                        }
+                        barrier.wait();
                     }
                 })
             })
             .collect();
-        std::thread::sleep(warm_end.saturating_duration_since(Instant::now()));
-        warm_stats = stats(&server).unwrap_or_default();
+        for round in 0..rounds {
+            if round == WARM_UP_ROUNDS {
+                warm_stats = stats(&server).unwrap_or_default();
+            }
+            // Client and server keep both vCPUs busy.
+            let scale = reference.scale_threads(CONNECTIONS);
+            let t0 = Instant::now();
+            *current.lock().expect("round lock") = Some((round, t0 + ROUND));
+            barrier.wait();
+            barrier.wait();
+            if round >= WARM_UP_ROUNDS {
+                round_scale.push(scale);
+                round_s.push(t0.elapsed().as_secs_f64());
+                if (round - WARM_UP_ROUNDS).is_multiple_of(ROUNDS_PER_ROUND_TRIP) {
+                    round_trip(out, &mut reference);
+                }
+            }
+        }
+        *current.lock().expect("round lock") = None;
+        barrier.wait();
         handles
             .into_iter()
             .map(|h| {
@@ -477,18 +520,17 @@ pub fn run(
     for conn in per_conn {
         samples.extend(conn?);
     }
+    samples.retain(|s| s.round >= WARM_UP_ROUNDS || s.result.is_err());
     samples.sort_by_key(|s| s.idx);
     let end_stats = stats(&server)?;
     let peak_rss = server.peak_rss_mib();
     server.shutdown()?;
-    round_trips(out);
 
+    let run_scale = median(&round_scale);
     let mut lat = Vec::with_capacity(samples.len());
     let mut served = 0usize;
-    let mut last_end = warm_end;
     for s in &samples {
-        lat.push(s.latency.as_secs_f64());
-        last_end = last_end.max(s.start + s.latency);
+        lat.push(s.latency.as_secs_f64() * run_scale);
         if let Ok(b) = s.result {
             served += b;
         }
@@ -497,15 +539,18 @@ pub fn run(
             s.result.as_ref().map(|_| ()).map_err(Clone::clone),
         );
     }
-    let window = (last_end - warm_end).as_secs_f64();
+    // Host-scaled seconds the measured rounds ran.
+    let window = round_s.iter().sum::<f64>() * run_scale;
     out.stamp(
         "samples",
         format!(
-            "{{\"requests\":{},\"requests_beyond_p99\":{},\"window_s\":{window}}}",
+            "{{\"requests\":{},\"requests_beyond_p99\":{},\"rounds\":{},\"window_s\":{window}}}",
             lat.len(),
-            lat.len() / 100
+            lat.len() / 100,
+            round_s.len()
         ),
     );
+    out.stamp("host", reference.stamp());
     out.set("setup_s", median(&setup_s));
     out.set("compress_mib_s", raw / MIB / median(&compress_s));
     out.set("decompress_mib_s", raw / MIB / median(&decompress_s));

@@ -2,10 +2,14 @@
 //!
 //! `allocate_snapshot` with budget raw/16, the max-min PSNR objective and
 //! 2 threads, closed loop, one caller; the first snapshot is warm-up.
+//! Times are scaled by the host-speed reference (see `calib`): each field's
+//! reads by a factor taken just before them, and the median snapshot time
+//! by the median of 2-thread factors taken before and after every snapshot.
 //! Every field's container is decoded and checked against the bound its
 //! assigned PSNR implies; a `FieldFailure` or a field compressed more than
 //! twice counts as a failure.
 
+use crate::calib::Reference;
 use crate::layers::{LayerTotals, OpRun};
 use crate::outcome::Outcome;
 use crate::stats::{check_bound, median, percentile, psnr, ratio, Reads, MIB};
@@ -23,9 +27,9 @@ use szlike::{ErrorBound, RateModel, SzConfig};
 pub const BUDGET_FACTOR: u64 = 16;
 pub const THREADS: usize = 2;
 const MAX_PASSES: u32 = 2;
-/// Reads of every field's container per snapshot: the checked read and one
-/// repeat, so a run holds enough reads for a p99.
-const READS_PER_FIELD: u64 = 2;
+/// Reads of every field's container per snapshot: the checked read and
+/// three repeats, so a run holds enough reads for a steady p99.
+const READS_PER_FIELD: u64 = 4;
 
 fn f32_of(f: &SnapshotField) -> &ndfield::Field<f32> {
     match &f.data {
@@ -76,12 +80,14 @@ fn band_devs(
     }
 }
 
-/// Check one allocation; every field is one op. Returns the decode time.
+/// Check one allocation; every field is one op. Returns the host-scaled
+/// decode time.
 fn check(
     fields: &[SnapshotField],
     alloc: &SnapshotAllocation,
     opts: &AllocOptions,
     reads: Option<&mut Reads>,
+    reference: &mut Reference,
     out: &mut Outcome,
 ) -> Checked {
     let mut local = Reads::default();
@@ -97,9 +103,10 @@ fn check(
             let bytes = run.bytes.as_ref().ok_or("no container")?;
             let bytes_out = f.data.raw_bytes() as usize;
             let mut read = || -> Result<ndfield::Field<f32>, String> {
+                let scale = reference.scale();
                 let t0 = Instant::now();
                 let got = szlike::decompress_with_threads::<f32>(bytes, 1);
-                local.push(bytes_out, t0.elapsed().as_secs_f64());
+                local.push(bytes_out, t0.elapsed().as_secs_f64() * scale);
                 got.map_err(|e| e.to_string())
             };
             let got = read()?;
@@ -144,15 +151,17 @@ fn check(
 }
 
 pub fn run(seed: u64, seconds: f64, tr: &mut Tracer, out: &mut Outcome) -> Result<(), String> {
+    let mut reference = Reference::new();
     let mut setup = Vec::with_capacity(SETUP_REPS);
     let mut fields: Vec<SnapshotField> = Vec::new();
     for _ in 0..SETUP_REPS {
+        let scale = reference.scale();
         let t0 = Instant::now();
         fields = generate(DatasetId::Atm, Resolution::Default, seed)
             .into_iter()
             .map(|nf| SnapshotField::f32(nf.name, nf.data))
             .collect();
-        setup.push(t0.elapsed().as_secs_f64());
+        setup.push(t0.elapsed().as_secs_f64() * scale);
     }
     let raw: u64 = fields.iter().map(|f| f.data.raw_bytes()).sum();
     let opts = AllocOptions {
@@ -169,7 +178,7 @@ pub fn run(seed: u64, seconds: f64, tr: &mut Tracer, out: &mut Outcome) -> Resul
         ),
     );
 
-    let mut snap_s = Vec::new();
+    let (mut snap_s, mut snap_scale) = (Vec::new(), Vec::new());
     let mut dec_mib_s = Vec::new();
     let mut reads = Reads::default();
     let mut expected_total: Option<u64> = None;
@@ -186,10 +195,12 @@ pub fn run(seed: u64, seconds: f64, tr: &mut Tracer, out: &mut Outcome) -> Resul
         } else if iter > 1 && measure_start.elapsed() >= window {
             break;
         }
+        let before = reference.scale_threads(THREADS);
         let root = tr.begin("op.snapshot", None, iter);
         let (alloc, s) = tr.time("fpsnr-core::alloc::allocate_snapshot", root, iter, || {
             allocate_snapshot(&fields, &opts)
         });
+        let after = reference.scale_threads(THREADS);
         let alloc = match alloc {
             Ok(a) => a,
             Err(e) => {
@@ -198,7 +209,14 @@ pub fn run(seed: u64, seconds: f64, tr: &mut Tracer, out: &mut Outcome) -> Resul
                 continue;
             }
         };
-        let checked = check(&fields, &alloc, &opts, measuring.then_some(&mut reads), out);
+        let checked = check(
+            &fields,
+            &alloc,
+            &opts,
+            measuring.then_some(&mut reads),
+            &mut reference,
+            out,
+        );
         out.record(
             "snapshot determinism",
             match expected_total {
@@ -213,6 +231,7 @@ pub fn run(seed: u64, seconds: f64, tr: &mut Tracer, out: &mut Outcome) -> Resul
         band_devs = checked.band_devs;
         if measuring {
             snap_s.push(s);
+            snap_scale.extend([before, after]);
             dec_mib_s.push((READS_PER_FIELD * raw) as f64 / MIB / checked.decompress_s);
             if tr.enabled() {
                 let r = traced.measure(tr, root, iter, &fields, &opts, &alloc);
@@ -239,11 +258,15 @@ pub fn run(seed: u64, seconds: f64, tr: &mut Tracer, out: &mut Outcome) -> Resul
         .map(|r| (r.stat.achieved_psnr - r.stat.assigned_psnr).abs())
         .collect();
     let dev = median(&band_devs);
+    let snapshot_s = median(&snap_s) * median(&snap_scale);
+    out.stamp("host", reference.stamp());
     out.stamp(
         "samples",
         format!(
-            "{{\"measured_snapshots\":{},\"reads\":{},\"reads_beyond_p99\":{},\"total_passes\":{},\"resolves\":{},\"field_psnr_dev_db\":{{\"mean\":{},\"median\":{}}}}}",
+            "{{\"measured_snapshots\":{},\"unscaled_snapshot_s\":{:.3?},\"snapshot_scale\":{:.3?},\"reads\":{},\"reads_beyond_p99\":{},\"total_passes\":{},\"resolves\":{},\"field_psnr_dev_db\":{{\"mean\":{},\"median\":{}}}}}",
             snap_s.len(),
+            snap_s,
+            snap_scale,
             reads.lat.len(),
             reads.lat.len() / 100,
             sum.total_passes,
@@ -253,14 +276,14 @@ pub fn run(seed: u64, seconds: f64, tr: &mut Tracer, out: &mut Outcome) -> Resul
         ),
     );
     out.set("setup_s", median(&setup));
-    out.set("compress_mib_s", raw as f64 / MIB / median(&snap_s));
+    out.set("compress_mib_s", raw as f64 / MIB / snapshot_s);
     out.set("decompress_mib_s", median(&dec_mib_s));
     out.set("ratio", raw as f64 / sum.total_bytes as f64);
     out.set("psnr_dev_db", dev);
     out.set("read_p50_us", median(&reads.lat) * 1e6);
     out.set("read_p99_us", percentile(&reads.lat, 0.99) * 1e6);
     out.set("read_mib_s", median(&reads.mib_s));
-    out.set("snapshot_s", median(&snap_s));
+    out.set("snapshot_s", snapshot_s);
     out.set("budget_util", sum.utilization);
     out.set("snapshot_min_psnr_db", sum.min_achieved_psnr);
 
