@@ -10,8 +10,10 @@
 //! ## Wire protocol (length-prefixed frames)
 //!
 //! Every message — request or response — is one frame: a `u32` little-endian
-//! payload length (capped at 1 GiB) followed by the payload. Requests start
-//! with an op byte:
+//! payload length followed by the payload. A request payload is at most 62
+//! bytes (a rank-3 READ); the server answers a longer announced length with
+//! an error frame and closes the connection without reading the payload.
+//! Responses are capped at 1 GiB. Requests start with an op byte:
 //!
 //! | op | name     | request payload after the op byte                    |
 //! |----|----------|------------------------------------------------------|
@@ -42,9 +44,16 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use szlike::{Region, StoreOptions, StoreStats, SzStore};
 
-/// Frame length cap — a region read of a whole 1-GiB field is the largest
-/// legitimate response; anything bigger is a protocol error.
-const MAX_FRAME: usize = 1 << 30;
+/// Response frame cap — a region read of a whole 1-GiB field is the
+/// largest legitimate response; anything bigger is a protocol error.
+#[cfg(test)]
+const MAX_RESPONSE_FRAME: usize = 1 << 30;
+
+/// Request frame cap: the longest request is a rank-3 READ — op and rank
+/// bytes, then a start and an end varint (at most 10 bytes each) per axis.
+/// Requests come from untrusted peers, so the length prefix must not size
+/// an allocation beyond this.
+const MAX_REQUEST_FRAME: usize = 2 + 3 * 2 * 10;
 
 /// Request op bytes.
 pub const OP_READ: u8 = 1;
@@ -183,9 +192,10 @@ impl ServeReport {
     }
 }
 
-/// Read one length-prefixed frame (`None` on clean EOF at a frame
-/// boundary).
-fn read_frame(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, String> {
+/// Read one length-prefixed frame of at most `max` payload bytes (`None`
+/// on clean EOF at a frame boundary). The length is checked before the
+/// payload buffer is allocated.
+fn read_frame(stream: &mut TcpStream, max: usize) -> Result<Option<Vec<u8>>, String> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -193,8 +203,8 @@ fn read_frame(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, String> {
         Err(e) => return Err(format!("reading frame length: {e}")),
     }
     let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(format!("frame of {len} bytes exceeds the 1 GiB cap"));
+    if len > max {
+        return Err(format!("frame of {len} bytes exceeds the {max}-byte cap"));
     }
     let mut payload = vec![0u8; len];
     stream
@@ -291,7 +301,17 @@ fn handle_connection(
     shutdown: &AtomicBool,
     latencies: &Mutex<Vec<u64>>,
 ) -> Result<(), String> {
-    while let Some(frame) = read_frame(&mut stream)? {
+    loop {
+        let frame = match read_frame(&mut stream, MAX_REQUEST_FRAME) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Ok(()),
+            Err(msg) => {
+                // An oversized length leaves its payload unread, so the
+                // stream is out of step: report (best effort) and close.
+                let _ = write_response(&mut stream, 1, msg.as_bytes());
+                return Err(msg);
+            }
+        };
         let Some((&op, payload)) = frame.split_first() else {
             write_response(&mut stream, 1, b"empty request frame")?;
             continue;
@@ -321,7 +341,6 @@ fn handle_connection(
             }
         }
     }
-    Ok(())
 }
 
 /// Run the accept loop until a SHUTDOWN request lands, then drain the
@@ -405,7 +424,7 @@ pub fn client_read(stream: &mut TcpStream, axes: &[Range<usize>]) -> Result<Regi
         varint::write_u64(&mut req, r.end as u64);
     }
     write_frame(stream, &req)?;
-    let reply = read_frame(stream)?.ok_or("server closed the connection")?;
+    let reply = read_frame(stream, MAX_RESPONSE_FRAME)?.ok_or("server closed the connection")?;
     let (status, body) = reply.split_first().ok_or("empty reply frame")?;
     if *status != 0 {
         return Err(format!("server error: {}", String::from_utf8_lossy(body)));
@@ -438,7 +457,7 @@ pub fn client_read(stream: &mut TcpStream, axes: &[Range<usize>]) -> Result<Regi
 #[cfg(test)]
 pub fn client_stats(stream: &mut TcpStream) -> Result<String, String> {
     write_frame(stream, &[OP_STATS])?;
-    let reply = read_frame(stream)?.ok_or("server closed the connection")?;
+    let reply = read_frame(stream, MAX_RESPONSE_FRAME)?.ok_or("server closed the connection")?;
     let (status, body) = reply.split_first().ok_or("empty reply frame")?;
     if *status != 0 {
         return Err(format!("server error: {}", String::from_utf8_lossy(body)));
@@ -453,7 +472,7 @@ pub fn client_stats(stream: &mut TcpStream) -> Result<String, String> {
 #[cfg(test)]
 pub fn client_shutdown(stream: &mut TcpStream) -> Result<(), String> {
     write_frame(stream, &[OP_SHUTDOWN])?;
-    read_frame(stream)?;
+    read_frame(stream, MAX_RESPONSE_FRAME)?;
     Ok(())
 }
 
@@ -543,13 +562,44 @@ mod tests {
         assert!(err.contains("server error"), "{err}");
         // Unknown op.
         write_frame(&mut stream, &[99]).unwrap();
-        let reply = read_frame(&mut stream).unwrap().unwrap();
+        let reply = read_frame(&mut stream, MAX_RESPONSE_FRAME).unwrap().unwrap();
         assert_eq!(reply[0], 1);
         // The connection still works afterwards.
         let ok = client_read(&mut stream, &[0..4, 0..4, 0..4]).unwrap();
         assert_eq!(ok.dims, vec![4, 4, 4]);
         client_shutdown(&mut stream).unwrap();
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn oversized_request_length_is_refused_before_its_payload() {
+        let (_, bytes) = grid_bytes(16, 8);
+        let (addr, handle) = spawn_server(bytes);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // Announce a 512 MiB request and send none of it: a server that
+        // sized a buffer from the prefix would sit waiting for the payload.
+        stream.write_all(&(512u32 << 20).to_le_bytes()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let reply = read_frame(&mut stream, MAX_RESPONSE_FRAME).unwrap().unwrap();
+        assert_eq!(reply[0], 1, "expected an error frame");
+        let msg = String::from_utf8_lossy(&reply[1..]);
+        assert!(msg.contains("exceeds the 62-byte cap"), "{msg}");
+        assert!(read_frame(&mut stream, MAX_RESPONSE_FRAME).unwrap().is_none());
+        // The server keeps serving other connections.
+        let mut ctl = TcpStream::connect(addr).unwrap();
+        let ok = client_read(&mut ctl, &[0..4, 0..4, 0..4]).unwrap();
+        assert_eq!(ok.dims, vec![4, 4, 4]);
+        client_shutdown(&mut ctl).unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn longest_request_fits_the_request_cap() {
+        let mut req = vec![OP_READ, 3];
+        for _ in 0..6 {
+            varint::write_u64(&mut req, u64::MAX);
+        }
+        assert_eq!(req.len(), MAX_REQUEST_FRAME);
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //!
 //! The driver turns the paper's one-pass machinery into a global solver:
 //!
-//! 1. **Pilot** — every field runs the cheap [`szlike::RateModel`] pilot
-//!    (one quantized walk, no entropy/LZ stages) in parallel and
-//!    materializes its predicted bytes-vs-PSNR curve on one shared PSNR
-//!    grid ([`AllocOptions::psnr_lo`] + `i`·[`AllocOptions::psnr_step`]).
+//! 1. **Pilot** — every field runs the [`szlike::RateModel`] pilot (one
+//!    quantized walk and a sort of its codes, no entropy/LZ stages) in
+//!    parallel and materializes its predicted bytes-vs-PSNR curve on one
+//!    shared PSNR grid ([`AllocOptions::psnr_lo`] +
+//!    `i`·[`AllocOptions::psnr_step`]). Pilot plus curve cost about as
+//!    much CPU as two or three compressions of the field (DESIGN.md
+//!    §16.2), so this stage is a large share of a snapshot's time.
 //!    Degenerate fields (constant or all-non-finite: no rate curve
 //!    exists) are **quarantined**: compressed outside the optimization at
 //!    the grid-floor target, their bytes pre-charged against the budget.

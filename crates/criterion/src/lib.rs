@@ -40,6 +40,20 @@ impl Default for Criterion {
 }
 
 impl Criterion {
+    /// Run one stand-alone benchmark outside any group (no throughput).
+    pub fn bench_function(
+        &mut self,
+        id: impl Into<BenchmarkId>,
+        f: impl FnMut(&mut Bencher),
+    ) -> &mut Self {
+        BenchmarkGroup {
+            window: self.measurement_window,
+            throughput: None,
+        }
+        .bench_function(id, f);
+        self
+    }
+
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup {
         println!("\n{name}");

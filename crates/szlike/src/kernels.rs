@@ -71,10 +71,10 @@
 //! columns — the pair argument generalized: every input a lane reads was
 //! finalized in an earlier step, so values are bit-identical to the
 //! sequential order, and the escape stream routes through three deferred
-//! buffers (compress) or three precomputed lagging cursors (decode). At
-//! `Avx2` the four independent steady-state stencils evaluate as one
-//! 4-lane `__m256d` chain in the same operand order — lane-wise IEEE
-//! vector adds, so the same bits again. `FPSNR_SIMD=off` (or non-x86-64)
+//! buffers (compress) or three precomputed lagging cursors (decode). The
+//! four steady-state stencils are independent scalar chains, which the
+//! core overlaps at every level from `Sse2` up (a 4-lane AVX2 body was
+//! measured slower and removed). `FPSNR_SIMD=off` (or non-x86-64)
 //! skips the quads entirely and keeps the pair schedule with no `unsafe`
 //! reachable. Containers are byte-identical at every level; only the
 //! wall clock changes.
@@ -971,12 +971,11 @@ fn l2_3d_pair<S: ElementSink>(
 // escape routing generalizes from one deferred buffer / lagging cursor
 // to three (`emit_lane`, `begin_quad`, `flush_quad`). In the steady
 // state the four lane predictions are mutually independent (lane t at
-// column k−t never reads anything emitted this step), which is what the
-// AVX2 body exploits: the four scalar stencil chains become one 4-lane
-// `__m256d` chain of the exact same left-associated IEEE adds, so each
-// lane's bits are the scalar bits. At `SimdLevel::Sse2` the same quad
-// schedule runs with the scalar four-chain body (the x86-64 SSE2
-// baseline the compiler already targets); at `Off` the quad is skipped
+// column k−t never reads anything emitted this step), so the four scalar
+// stencil chains overlap in the pipeline. The quad runs this scalar
+// four-chain body at every level from `SimdLevel::Sse2` up (the x86-64
+// SSE2 baseline the compiler already targets; a 4-lane `__m256d` body
+// for AVX2 was measured slower and removed); at `Off` the quad is skipped
 // entirely and rows fall through to the pair/row loops — the mandatory
 // no-`unsafe` fallback. Only the first-order stencils get quads: the
 // 26-point Lorenzo² gather dominates its own chain, so the pair is

@@ -1,6 +1,7 @@
 //! Ratio–quality modeling: predict compressed bits/value as a function of
-//! the error bound from **one cheap pilot pass**, then invert the curve to
-//! pick the bound that hits a target compression ratio.
+//! the error bound from **one pilot pass** (a quantized walk and a sort of
+//! its codes — about half the CPU of one compression), then invert the
+//! curve to pick the bound that hits a target compression ratio.
 //!
 //! The paper's fixed-PSNR mode inverts a *distortion* target analytically
 //! (Eq. 8); the dual contract — "give me N× compression" — has no closed
@@ -34,9 +35,7 @@
 //! gain); the fixed-ratio driver in `fpsnr-core` closes the residual with
 //! at most two bounded secant refinements on *measured* ratios.
 
-use std::collections::HashMap;
-
-use ndfield::{Field, Scalar};
+use ndfield::{Field, Scalar, Shape};
 
 use crate::blocked::{block_range, resolve_block_rows, use_blocked};
 use crate::compressor::{quantized_walk_on, select_model};
@@ -67,6 +66,12 @@ const NOISE_FLOOR_BITS_PER_OCTAVE: f64 = 0.28;
 /// standard deviation of roughly half a bin, and a discrete distribution
 /// that wide carries ≈ 1.4 bits however coarse the bound gets.
 const NOISE_FLOOR_CAP_BITS: f64 = 1.4;
+/// Bin counts below this get their entropy term memoized per
+/// [`RateModel::predict_bits_per_value`] call.
+const SMALL_COUNT_TERMS: usize = 64;
+/// Magnitudes a rebinned run is followed one by one before
+/// [`RateModel::predict_bits_per_value`] jumps to the run's far edge.
+const STEPS_BEFORE_JUMP: usize = 8;
 
 /// Estimate coded bits/value for one predictor candidate from its sampled
 /// quantized error magnitudes — the shared cost model behind
@@ -122,15 +127,111 @@ pub(crate) fn candidate_bits_per_value(
     h + (mantissa_bits + nonzero_live) as f64 / n + esc_frac * sample_bits + extra_bits
 }
 
+/// Run the pilot walk at `eb_ref` and return its quantization codes
+/// (blocks concatenated in order) with the number of blocks the modeled
+/// container partitions into. Blocked configurations walk per block,
+/// exactly as the blocked compressor does, so the merged histogram has
+/// the blocked container's shared-frequency-table structure.
+fn pilot_codes<T: Scalar>(
+    data: &[T],
+    shape: Shape,
+    cfg: &SzConfig,
+    eb_ref: f64,
+) -> (Vec<u32>, usize) {
+    let model = select_model(data, shape, cfg.predictor, eb_ref, PILOT_BINS);
+    let mut recon = Vec::new();
+    let walk = |data: &[T], shape: Shape, recon: &mut Vec<f64>| {
+        quantized_walk_on(
+            data, shape, eb_ref, PILOT_BINS, model, cfg.escape, false, recon, cfg.kernel,
+        )
+        .codes
+    };
+    if !use_blocked(cfg) {
+        return (walk(data, shape, &mut recon), 1);
+    }
+    let block_rows = resolve_block_rows(shape, cfg.block_rows);
+    let blocks = shape.dims()[0].div_ceil(block_rows);
+    let mut codes = Vec::with_capacity(data.len());
+    for b in 0..blocks {
+        let (range, bshape) = block_range(shape, block_rows, b);
+        codes.extend_from_slice(&walk(&data[range], bshape, &mut recon));
+    }
+    (codes, blocks)
+}
+
+/// `floor(log2 |x|)` of a finite nonzero `f64` lies in `[−1074, 1023]`;
+/// the dense bucket array spans that with a margin.
+const ABSMAG_MIN_BUCKET: i32 = -1080;
+const ABSMAG_BUCKETS: usize = 2112;
+
+/// Mantissa fields at or above this are within `2^-20` of the next power
+/// of two.
+const NEAR_NEXT_POWER: u64 = (1 << 52) - (1 << 32);
+
+/// `a.log2().floor()` for a finite `a > 0`, from the exponent bits where
+/// they must agree: for a normal `a` more than `2^-20` below the next power
+/// of two, `log2 a` lies in `[e, e + 1 − 6.9·10⁻⁷]`, so any faithfully
+/// rounded `log2` (exact at `2^e`, off by under one ulp elsewhere) floors
+/// to `e`. Subnormals and the sliver below each power of two, where
+/// rounding can reach `e + 1`, call `log2` itself.
+fn floor_log2(a: f64) -> i32 {
+    let bits = a.to_bits();
+    let biased = (bits >> 52) as i32;
+    if biased > 0 && bits & ((1 << 52) - 1) < NEAR_NEXT_POWER {
+        biased - 1023
+    } else {
+        a.log2().floor() as i32
+    }
+}
+
+/// Counts of `floor(log2 |x|)` over the finite nonzero samples, as sorted
+/// `(bucket, count)` pairs with zero counts dropped.
+fn absmag_buckets<T: Scalar>(data: &[T]) -> Vec<(i32, u64)> {
+    let mut counts = vec![0u64; ABSMAG_BUCKETS];
+    for v in data {
+        let a = v.to_f64().abs();
+        if a.is_finite() && a > 0.0 {
+            counts[(floor_log2(a) - ABSMAG_MIN_BUCKET) as usize] += 1;
+        }
+    }
+    counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(i, &c)| (i as i32 + ABSMAG_MIN_BUCKET, c))
+        .collect()
+}
+
+/// Length of the prefix of the ascending `xs` whose elements are
+/// `<= bound`, galloping from the front: O(log prefix) comparisons, so a
+/// short prefix costs a comparison or two whatever the slice length.
+fn gallop_le(xs: &[i64], bound: i64) -> usize {
+    let (mut lo, mut step) = (0usize, 1usize);
+    while lo + step <= xs.len() && xs[lo + step - 1] <= bound {
+        lo += step;
+        step *= 2;
+    }
+    let end = (lo + step).min(xs.len());
+    lo + xs[lo..end].partition_point(|&m| m <= bound)
+}
+
 /// The ratio–quality curve built from one pilot pass over one field.
 ///
 /// Immutable once built: every prediction/inversion is pure histogram
-/// arithmetic, so probing the curve costs microseconds, not compressions.
+/// arithmetic, O(bins) per bound through prefix sums over the pilot's
+/// distinct magnitudes. On a 225×450 ATM field (up to ~20 000 distinct
+/// magnitudes) one bound costs ~20 µs, so an inversion is far cheaper
+/// than a compression while a 481-point [`RateCurve`] costs about as much
+/// as two.
 #[derive(Debug, Clone)]
 pub struct RateModel {
-    /// Signed pilot code magnitudes (`code − radius`) with their counts,
-    /// sorted by magnitude; escapes excluded.
-    mags: Vec<(i64, u64)>,
+    /// Distinct signed pilot code magnitudes (`code − radius`), ascending;
+    /// escapes excluded.
+    mags: Vec<i64>,
+    /// Prefix sums of the pilot counts behind `mags`: `mags[i]` occurred
+    /// `cum[i + 1] − cum[i]` times, so any run of magnitudes is counted in
+    /// O(1). `cum.len() == mags.len() + 1`.
+    cum: Vec<u64>,
     /// `log2 |x|` buckets of the data values (zeros and non-finite
     /// excluded) — drives the precision-escape ramp.
     absmag: Vec<(i32, u64)>,
@@ -182,67 +283,29 @@ impl RateModel {
             )));
         }
         let eb_ref = vr * EB_REF_REL;
-        let shape = field.shape();
         let data = field.as_slice();
-        let model = select_model(data, shape, cfg.predictor, eb_ref, PILOT_BINS);
+        let (mut codes, n_blocks) = pilot_codes(data, field.shape(), cfg, eb_ref);
+        // Code 0 is the escape symbol and every other code is `magnitude +
+        // radius`, so sorting the codes sorts the magnitudes: escapes lead,
+        // then one run per distinct magnitude.
+        codes.sort_unstable();
+        let escapes = codes.partition_point(|&c| c == 0);
         let radius = (PILOT_BINS / 2) as i64;
-        let mut mag_counts: HashMap<i64, u64> = HashMap::new();
-        let mut escapes = 0u64;
-        let mut recon = Vec::new();
-        let mut tally = |codes: &[u32]| {
-            for &code in codes {
-                if code == 0 {
-                    escapes += 1;
-                } else {
-                    *mag_counts.entry(code as i64 - radius).or_insert(0) += 1;
-                }
-            }
-        };
-        let n_blocks = if use_blocked(cfg) {
-            let block_rows = resolve_block_rows(shape, cfg.block_rows);
-            let blocks = shape.dims()[0].div_ceil(block_rows);
-            for b in 0..blocks {
-                let (range, bshape) = block_range(shape, block_rows, b);
-                let walk = quantized_walk_on(
-                    &data[range],
-                    bshape,
-                    eb_ref,
-                    PILOT_BINS,
-                    model,
-                    cfg.escape,
-                    false,
-                    &mut recon,
-                    cfg.kernel,
-                );
-                tally(&walk.codes);
-            }
-            blocks
-        } else {
-            let walk = quantized_walk_on(
-                data, shape, eb_ref, PILOT_BINS, model, cfg.escape, false, &mut recon,
-                cfg.kernel,
-            );
-            tally(&walk.codes);
-            1
-        };
-        let mut absmag_counts: HashMap<i32, u64> = HashMap::new();
-        for v in data {
-            let a = v.to_f64().abs();
-            if a.is_finite() && a > 0.0 {
-                *absmag_counts.entry(a.log2().floor() as i32).or_insert(0) += 1;
-            }
+        let mut mags = Vec::new();
+        let mut cum = vec![0u64];
+        for run in codes[escapes..].chunk_by(|a, b| a == b) {
+            mags.push(run[0] as i64 - radius);
+            cum.push(cum[cum.len() - 1] + run.len() as u64);
         }
-        let mut mags: Vec<(i64, u64)> = mag_counts.into_iter().collect();
-        mags.sort_unstable();
-        let pilot_live: u64 = mags.iter().filter(|&&(m, _)| m != 0).map(|&(_, c)| c).sum();
-        let mut absmag: Vec<(i32, u64)> = absmag_counts.into_iter().collect();
-        absmag.sort_unstable();
+        let zero_mass = mags.binary_search(&0).map_or(0, |i| cum[i + 1] - cum[i]);
+        let pilot_live = cum[mags.len()] - zero_mass;
         Ok(RateModel {
             mags,
-            absmag,
+            cum,
+            absmag: absmag_buckets(data),
             n: data.len() as u64,
             pilot_live,
-            pilot_escapes: escapes,
+            pilot_escapes: escapes as u64,
             eb_ref,
             value_range: vr,
             sample_bits: (T::BYTES * 8) as f64,
@@ -276,26 +339,16 @@ impl RateModel {
         }
         let s = eb_abs / self.eb_ref;
         let radius = (self.quant_bins / 2) as i64;
-        // Rebin the sorted pilot magnitudes: m ↦ round(m/s) is monotone in
-        // m, so equal targets form runs and one linear merge suffices.
-        let mut merged: Vec<u64> = Vec::with_capacity(self.mags.len());
-        let mut rebin_escapes = self.pilot_escapes;
-        let mut prev: Option<i64> = None;
-        for &(m, c) in &self.mags {
-            let m2f = (m as f64 / s).round();
-            if m2f.abs() >= (radius - 1) as f64 {
-                rebin_escapes += c;
-                continue;
-            }
-            let m2 = m2f as i64;
-            match prev {
-                Some(p) if p == m2 => *merged.last_mut().expect("run open") += c,
-                _ => {
-                    merged.push(c);
-                    prev = Some(m2);
-                }
-            }
-        }
+        // Rebinning maps m ↦ round(m/s) and escapes |round(m/s)| ≥ radius−1.
+        // That test is monotone in |m|, so on the sorted magnitudes the
+        // escapes are a prefix of the negative ones plus a suffix of the
+        // rest: two binary searches find the kept range and the prefix sums
+        // count both tails.
+        let escapes_at = |m: i64| (m as f64 / s).round().abs() >= (radius - 1) as f64;
+        let lo = self.mags.partition_point(|&m| m < 0 && escapes_at(m));
+        let hi = lo + self.mags[lo..].partition_point(|&m| m < 0 || !escapes_at(m));
+        let rebin_escapes =
+            self.pilot_escapes + self.cum[lo] + (self.cum[self.mags.len()] - self.cum[hi]);
         // Precision ramp: a sample whose own round-off exceeds the bound
         // cannot be reconstructed within it and escapes, whatever the
         // predictor does. This is what makes very fine bounds on f32 data
@@ -310,19 +363,39 @@ impl RateModel {
             (((rebin_escapes + precision_escapes) as f64) / n).min(1.0);
         // Mixture entropy: escape symbol with mass e, code j with mass
         // (1−e)·qⱼ ⇒ H = −e·log e − (1−e)·log(1−e) + (1−e)·H(q).
-        let hist_total: u64 = merged.iter().sum();
+        let hist_total = self.cum[hi] - self.cum[lo];
         let mut h = 0.0;
         if esc_frac > 0.0 && esc_frac < 1.0 {
             h -= esc_frac * esc_frac.log2()
                 + (1.0 - esc_frac) * (1.0 - esc_frac).log2();
         }
-        if hist_total > 0 && esc_frac < 1.0 {
-            let total = hist_total as f64;
-            let mut hq = 0.0;
-            for &c in &merged {
-                let p = c as f64 / total;
-                hq -= p * p.log2();
+        let with_entropy = hist_total > 0 && esc_frac < 1.0;
+        let total = hist_total as f64;
+        let term = |c: u64| {
+            let p = c as f64 / total;
+            p * p.log2()
+        };
+        // Most bins are tail bins holding a handful of samples, so their
+        // p·log₂p terms repeat: compute each small count's term once (NaN
+        // marks "not yet"; a nonempty bin's term is always finite).
+        let mut small_terms = [f64::NAN; SMALL_COUNT_TERMS];
+        let mut hq = 0.0;
+        let mut bins = 0usize;
+        self.for_each_bin(lo, hi, s, |c| {
+            bins += 1;
+            if with_entropy {
+                hq -= match small_terms.get_mut(c as usize) {
+                    Some(t) => {
+                        if t.is_nan() {
+                            *t = term(c);
+                        }
+                        *t
+                    }
+                    None => term(c),
+                };
             }
+        });
+        if with_entropy {
             if s < 1.0 {
                 // Bounds finer than the pilot's reference split bins the
                 // histogram cannot resolve; under the flat-within-bin
@@ -352,11 +425,67 @@ impl RateModel {
             // floor is real output, not squashable redundancy.
             payload = payload.max(1.0 + esc_frac * self.sample_bits);
         }
-        let distinct = merged.len() as f64 + 1.0;
+        let distinct = bins as f64 + 1.0;
         let overhead_bytes = HEADER_BYTES
             + TABLE_BYTES_PER_SYMBOL * distinct
             + BLOCK_FRAME_BYTES * self.n_blocks as f64;
         payload * lz_gain + overhead_bytes * 8.0 / n
+    }
+
+    /// Visit the pilot count of every bin that `m ↦ round(m/s)` forms over
+    /// `mags[lo..hi]`, in ascending magnitude order.
+    ///
+    /// The bin index is monotone in `m`, so each bin is a run of
+    /// consecutive magnitudes, and two magnitudes at least `1.01·|s|` apart
+    /// land more than one bin apart. A magnitude whose successor is that
+    /// far away is therefore a bin on its own and needs no evaluation: that
+    /// covers the sparse tail at every bound, and every magnitude once
+    /// `|s| ≤ 0.99`. A denser run rounds only its first magnitude to get its
+    /// bin `k`, then tests the next ones against the bin's upper edge
+    /// `k + ½` (a division and a comparison, no rounding). A run still open
+    /// after [`STEPS_BEFORE_JUMP`] magnitudes jumps to `m ≈ (k + ½)·s` with
+    /// integer comparisons and settles the edge with the same test.
+    fn for_each_bin(&self, lo: usize, hi: usize, s: f64, mut visit: impl FnMut(u64)) {
+        let mags = &self.mags;
+        // round(m/−s) = −round(m/s): a negative bound bins like its size.
+        let s = s.abs();
+        if s.is_nan() {
+            // Every bin index is NaN, which casts to bin 0.
+            if lo < hi {
+                visit(self.cum[hi] - self.cum[lo]);
+            }
+            return;
+        }
+        let min_gap = 1.01 * s;
+        let mut i = lo;
+        while i < hi {
+            if i + 1 == hi || (mags[i + 1] - mags[i]) as f64 >= min_gap {
+                visit(self.cum[i + 1] - self.cum[i]);
+                i += 1;
+                continue;
+            }
+            // From a magnitude in bin k upwards, m stays in bin k while m/s
+            // is below k + ½; for k < 0 the edge itself belongs to k, since
+            // round() takes ties away from zero.
+            let k = (mags[i] as f64 / s).round() as i64;
+            let top = k as f64 + 0.5;
+            let in_bin = |m: i64| {
+                let q = m as f64 / s;
+                q < top || (k < 0 && q == top)
+            };
+            let mut j = i + 1;
+            while j < hi && in_bin(mags[j]) {
+                j += 1;
+                if j - i == STEPS_BEFORE_JUMP && j < hi {
+                    j += gallop_le(&mags[j..hi], (top * s) as i64);
+                    while !in_bin(mags[j - 1]) {
+                        j -= 1;
+                    }
+                }
+            }
+            visit(self.cum[j] - self.cum[i]);
+            i = j;
+        }
     }
 
     /// Predicted total container bytes at absolute bound `eb_abs` — the
@@ -520,11 +649,151 @@ impl RateCurve {
 }
 
 #[cfg(test)]
+mod reference {
+    //! The original per-sample `HashMap` pilot tally and per-magnitude
+    //! rebin/entropy loop, kept as the oracle the prefix-sum model must
+    //! match bit for bit.
+
+    use super::*;
+    use std::collections::HashMap;
+
+    /// Signed magnitudes with counts (ascending) and the escape count of
+    /// pilot codes, tallied one sample at a time.
+    pub(super) fn tally(codes: &[u32]) -> (Vec<(i64, u64)>, u64) {
+        let radius = (PILOT_BINS / 2) as i64;
+        let mut mag_counts: HashMap<i64, u64> = HashMap::new();
+        let mut escapes = 0u64;
+        for &code in codes {
+            if code == 0 {
+                escapes += 1;
+            } else {
+                *mag_counts.entry(code as i64 - radius).or_insert(0) += 1;
+            }
+        }
+        let mut mags: Vec<(i64, u64)> = mag_counts.into_iter().collect();
+        mags.sort_unstable();
+        (mags, escapes)
+    }
+
+    /// `floor(log2 |x|)` buckets of the finite nonzero samples.
+    pub(super) fn absmag<T: Scalar>(data: &[T]) -> Vec<(i32, u64)> {
+        let mut absmag_counts: HashMap<i32, u64> = HashMap::new();
+        for v in data {
+            let a = v.to_f64().abs();
+            if a.is_finite() && a > 0.0 {
+                *absmag_counts.entry(a.log2().floor() as i32).or_insert(0) += 1;
+            }
+        }
+        let mut absmag: Vec<(i32, u64)> = absmag_counts.into_iter().collect();
+        absmag.sort_unstable();
+        absmag
+    }
+
+    /// [`RateModel::predict_bits_per_value`] as one merge over every
+    /// `(magnitude, count)` pair of `mags`.
+    pub(super) fn predict_bits_per_value(
+        model: &RateModel,
+        mags: &[(i64, u64)],
+        eb_abs: f64,
+        lz_gain: f64,
+    ) -> f64 {
+        let n = model.n as f64;
+        if n == 0.0 {
+            return 0.0;
+        }
+        let s = eb_abs / model.eb_ref;
+        let radius = (model.quant_bins / 2) as i64;
+        // Rebin the sorted pilot magnitudes: m ↦ round(m/s) is monotone in
+        // m, so equal targets form runs and one linear merge suffices.
+        let mut merged: Vec<u64> = Vec::with_capacity(mags.len());
+        let mut rebin_escapes = model.pilot_escapes;
+        let mut prev: Option<i64> = None;
+        for &(m, c) in mags {
+            let m2f = (m as f64 / s).round();
+            if m2f.abs() >= (radius - 1) as f64 {
+                rebin_escapes += c;
+                continue;
+            }
+            let m2 = m2f as i64;
+            match prev {
+                Some(p) if p == m2 => *merged.last_mut().expect("run open") += c,
+                _ => {
+                    merged.push(c);
+                    prev = Some(m2);
+                }
+            }
+        }
+        // Precision ramp: a sample whose own round-off exceeds the bound
+        // cannot be reconstructed within it and escapes, whatever the
+        // predictor does. This is what makes very fine bounds on f32 data
+        // blow up to raw size instead of compressing further.
+        let mut precision_escapes = 0u64;
+        for &(bucket, c) in &model.absmag {
+            if 2.0f64.powi(bucket) * model.scalar_eps > eb_abs {
+                precision_escapes += c;
+            }
+        }
+        let esc_frac =
+            (((rebin_escapes + precision_escapes) as f64) / n).min(1.0);
+        // Mixture entropy: escape symbol with mass e, code j with mass
+        // (1−e)·qⱼ ⇒ H = −e·log e − (1−e)·log(1−e) + (1−e)·H(q).
+        let hist_total: u64 = merged.iter().sum();
+        let mut h = 0.0;
+        if esc_frac > 0.0 && esc_frac < 1.0 {
+            h -= esc_frac * esc_frac.log2()
+                + (1.0 - esc_frac) * (1.0 - esc_frac).log2();
+        }
+        if hist_total > 0 && esc_frac < 1.0 {
+            let total = hist_total as f64;
+            let mut hq = 0.0;
+            for &c in &merged {
+                let p = c as f64 / total;
+                hq -= p * p.log2();
+            }
+            if s < 1.0 {
+                // Bounds finer than the pilot's reference split bins the
+                // histogram cannot resolve; under the flat-within-bin
+                // assumption each halving of the bound adds one bit.
+                hq = (hq + (1.0 / s).log2()).min((model.quant_bins as f64).log2());
+            }
+            // Quantization-noise feedback floor. Rebinning alone predicts
+            // H → 0 once the bound dwarfs the pilot prediction errors, but
+            // the real pipeline predicts from *reconstructed* neighbours:
+            // each carries O(eb) rounding noise, which keeps codes jittering
+            // over a few bins. Measured code entropy on live fields tracks
+            // min(0.28·t, 1.4) where t = log₂(vr / 2eb) is the octaves of
+            // dynamic range per bin — the feedback dies (t → 0) exactly when
+            // one bin swallows the whole range and reconstruction snaps
+            // flat. Constant-predicting mass is exempt (no rounding, no
+            // noise), hence the live-fraction scaling.
+            let live_frac = model.pilot_live as f64 / n;
+            let range_octaves = (model.value_range / (2.0 * eb_abs)).log2().max(0.0);
+            let floor = (NOISE_FLOOR_BITS_PER_OCTAVE * range_octaves)
+                .min(NOISE_FLOOR_CAP_BITS)
+                * live_frac;
+            h += (1.0 - esc_frac) * hq.max(floor);
+        }
+        let mut payload = h + esc_frac * model.sample_bits;
+        if model.lossless == LosslessBackend::None {
+            // Without the LZ stage the canonical-Huffman 1-bit/symbol
+            // floor is real output, not squashable redundancy.
+            payload = payload.max(1.0 + esc_frac * model.sample_bits);
+        }
+        let distinct = merged.len() as f64 + 1.0;
+        let overhead_bytes = HEADER_BYTES
+            + TABLE_BYTES_PER_SYMBOL * distinct
+            + BLOCK_FRAME_BYTES * model.n_blocks as f64;
+        payload * lz_gain + overhead_bytes * 8.0 / n
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ErrorBound;
     use crate::{compress, SzConfig};
     use ndfield::Shape;
+    use proptest::prelude::*;
 
     fn textured(rows: usize, cols: usize) -> Field<f32> {
         Field::from_fn_2d(rows, cols, |i, j| {
@@ -604,8 +873,8 @@ mod tests {
         // Same data, same reference bound: the merged histogram mass must
         // match the monolithic one (block boundaries only perturb a few
         // first-row predictions).
-        let mono_mass: u64 = mono.mags.iter().map(|&(_, c)| c).sum();
-        let blk_mass: u64 = blocked.mags.iter().map(|&(_, c)| c).sum();
+        let mono_mass = mono.cum[mono.mags.len()];
+        let blk_mass = blocked.cum[blocked.mags.len()];
         assert_eq!(mono_mass + mono.pilot_escapes, blk_mass + blocked.pilot_escapes);
     }
 
@@ -662,6 +931,164 @@ mod tests {
         }
         assert_eq!(scaled.points(), curve.points());
         assert_eq!(scaled.n_samples(), curve.n_samples());
+    }
+
+    /// Deterministic field over `dims`, scaled by `scale`: a smooth carrier
+    /// plus xorshift noise of amplitude `noise`, a constant run over the
+    /// third sixth of the samples, and NaN/±inf samples when `specials`.
+    fn oracle_field<T: Scalar>(
+        dims: &[usize],
+        seed: u64,
+        noise: f64,
+        scale: f64,
+        specials: bool,
+    ) -> Field<T> {
+        let n: usize = dims.iter().product();
+        let mut x = seed | 1;
+        let vals = (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let v = if (n / 3..n / 2).contains(&i) {
+                    1.25
+                } else if specials && x.is_multiple_of(37) {
+                    [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(x >> 8) as usize % 3]
+                } else {
+                    let u = (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                    (i as f64 * 0.21).sin() * 40.0 + noise * u
+                };
+                T::from_f64(v * scale)
+            })
+            .collect();
+        Field::from_vec(Shape::from_dims(dims), vals)
+    }
+
+    /// Same bits, or both NaN (non-positive and NaN bounds are probed too).
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// The prefix-sum model against the reference tally and rebin loop:
+    /// identical histogram, buckets and escapes, and bit-identical rates
+    /// and curve bytes over bounds below, at and around the pilot's
+    /// reference bound, across the merging range and past the radius
+    /// cut-off.
+    fn matches_reference<T: Scalar>(
+        field: &Field<T>,
+        cfg: &SzConfig,
+        lz_gain: f64,
+        s_extra: f64,
+    ) -> Result<(), String> {
+        let Ok(model) = RateModel::pilot(field, cfg) else {
+            return Ok(()); // no finite nonzero range: no curve to compare
+        };
+        let (codes, n_blocks) = pilot_codes(field.as_slice(), field.shape(), cfg, model.eb_ref);
+        let (ref_mags, ref_escapes) = reference::tally(&codes);
+        let mags: Vec<(i64, u64)> = (0..model.mags.len())
+            .map(|i| (model.mags[i], model.cum[i + 1] - model.cum[i]))
+            .collect();
+        if mags != ref_mags || model.pilot_escapes != ref_escapes || model.n_blocks != n_blocks {
+            return Err(format!("pilot histogram differs: {} vs {} magnitudes", mags.len(), ref_mags.len()));
+        }
+        let ref_live: u64 = ref_mags.iter().filter(|&&(m, _)| m != 0).map(|&(_, c)| c).sum();
+        if model.pilot_live != ref_live || model.absmag != reference::absmag(field.as_slice()) {
+            return Err("pilot live mass or magnitude buckets differ".to_string());
+        }
+        let ratios = [
+            1e-3, 0.5, 0.99, 0.995, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.01, 1.5, 2.5, 3.0, 7.3,
+            64.0, 1e3, 1.7e4, 1e6, 1e9, s_extra, 0.0, -2.5, f64::INFINITY, f64::NAN,
+        ];
+        for r in ratios {
+            let eb = r * model.eb_ref;
+            let new = model.predict_bits_per_value(eb, lz_gain);
+            let old = reference::predict_bits_per_value(&model, &ref_mags, eb, lz_gain);
+            if !same(new, old) {
+                return Err(format!("s = {r}: {new:e} vs reference {old:e}"));
+            }
+        }
+        let curve = model.curve(20.0, 1.0, 121, lz_gain);
+        let mut prev = 0.0f64;
+        for i in 0..curve.points() {
+            let eb = 3f64.sqrt() * 10f64.powf(-curve.psnr_at(i) / 20.0) * model.value_range;
+            let old = (reference::predict_bits_per_value(&model, &ref_mags, eb, lz_gain)
+                * model.n as f64
+                / 8.0)
+                .max(prev);
+            prev = old;
+            if !same(curve.bytes_at(i), old) {
+                return Err(format!("curve point {i}: {} vs reference {old}", curve.bytes_at(i)));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn prefix_sum_model_matches_reference_bit_for_bit(
+            rank in 1usize..4,
+            extents in any::<u64>(),
+            seed in any::<u64>(),
+            wide in any::<bool>(),
+            specials in any::<bool>(),
+            noise_exp in -4.0f64..1.5,
+            scale_exp in -12i32..12,
+            bins_pow in 2u32..17,
+            block_rows in 0usize..4,
+            no_lz in any::<bool>(),
+            lz_gain in 0.5f64..2.0,
+            s_exp in -3.0f64..8.0,
+        ) {
+            let max_extent = [600u64, 40, 12][rank - 1];
+            let dims: Vec<usize> = (0..rank)
+                .map(|a| 2 + ((extents >> (16 * a)) % max_extent) as usize)
+                .collect();
+            let mut cfg = SzConfig::new(ErrorBound::Abs(1.0))
+                .with_quant_bins(1 << bins_pow)
+                .with_block_rows(block_rows);
+            if no_lz {
+                cfg = cfg.with_lossless(LosslessBackend::None);
+            }
+            let (noise, scale) = (10f64.powf(noise_exp), 10f64.powi(scale_exp));
+            let s_extra = 10f64.powf(s_exp);
+            let res = if wide {
+                matches_reference(&oracle_field::<f64>(&dims, seed, noise, scale, specials), &cfg, lz_gain, s_extra)
+            } else {
+                matches_reference(&oracle_field::<f32>(&dims, seed, noise, scale, specials), &cfg, lz_gain, s_extra)
+            };
+            prop_assert!(res.is_ok(), "dims {dims:?} wide {wide} cfg bins 2^{bins_pow}: {}", res.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn floor_log2_matches_log2_floor() {
+        // Every power of two from the smallest subnormal up, its f64 and
+        // f32 neighbours, and a spread of arbitrary bit patterns.
+        let mut vals = Vec::new();
+        for e in -1074i32..1024 {
+            let p = if e >= -1022 {
+                f64::from_bits(((e + 1023) as u64) << 52)
+            } else {
+                f64::from_bits(1u64 << (e + 1074))
+            };
+            vals.extend([p, p.next_down(), p.next_up()]);
+            let p32 = p as f32;
+            if p32.is_finite() && p32 > 0.0 {
+                vals.extend([p32.next_down() as f64, p32.next_up() as f64]);
+            }
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            vals.push(f64::from_bits(x >> 1));
+            vals.push(f32::from_bits((x >> 33) as u32) as f64);
+        }
+        for a in vals.into_iter().filter(|a| a.is_finite() && *a > 0.0) {
+            assert_eq!(floor_log2(a), a.log2().floor() as i32, "{a:e}");
+        }
     }
 
     #[test]

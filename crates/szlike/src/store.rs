@@ -387,48 +387,46 @@ impl<T: Scalar> SzStore<T> {
     pub fn block(&self, b: usize) -> Result<Arc<Vec<T>>, SzError> {
         debug_assert!(b < self.sections.len());
         let shard_i = b % SHARDS;
-        loop {
-            let mut shard = self.shards[shard_i].lock().expect("store shard lock");
-            if let Some(data) = shard.touch(b) {
-                drop(shard);
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                fpsnr_obs::add("store.cache.hit", 1);
-                return Ok(data);
-            }
-            if let Some(flight) = shard.inflight.get(&b) {
-                let flight = Arc::clone(flight);
-                drop(shard);
-                self.counters.waits.fetch_add(1, Ordering::Relaxed);
-                fpsnr_obs::add("store.cache.wait", 1);
-                let mut done = flight.done.lock().expect("flight lock");
-                while done.is_none() {
-                    done = flight.cv.wait(done).expect("flight wait");
-                }
-                return done.clone().expect("flight published");
-            }
-            // Cold miss: claim the flight, decode outside the shard lock,
-            // publish to cache and waiters.
-            let flight = Arc::new(Flight {
-                done: Mutex::new(None),
-                cv: Condvar::new(),
-            });
-            shard.inflight.insert(b, Arc::clone(&flight));
+        let mut shard = self.shards[shard_i].lock().expect("store shard lock");
+        if let Some(data) = shard.touch(b) {
             drop(shard);
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            fpsnr_obs::add("store.cache.miss", 1);
-
-            let result = self.decode_block_uncached(b).map(Arc::new);
-
-            let mut shard = self.shards[shard_i].lock().expect("store shard lock");
-            shard.inflight.remove(&b);
-            if let Ok(data) = &result {
-                self.insert_and_evict(&mut shard, b, Arc::clone(data));
-            }
-            drop(shard);
-            *flight.done.lock().expect("flight lock") = Some(result.clone());
-            flight.cv.notify_all();
-            return result;
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            fpsnr_obs::add("store.cache.hit", 1);
+            return Ok(data);
         }
+        if let Some(flight) = shard.inflight.get(&b) {
+            let flight = Arc::clone(flight);
+            drop(shard);
+            self.counters.waits.fetch_add(1, Ordering::Relaxed);
+            fpsnr_obs::add("store.cache.wait", 1);
+            let mut done = flight.done.lock().expect("flight lock");
+            while done.is_none() {
+                done = flight.cv.wait(done).expect("flight wait");
+            }
+            return done.clone().expect("flight published");
+        }
+        // Cold miss: claim the flight, decode outside the shard lock,
+        // publish to cache and waiters.
+        let flight = Arc::new(Flight {
+            done: Mutex::new(None),
+            cv: Condvar::new(),
+        });
+        shard.inflight.insert(b, Arc::clone(&flight));
+        drop(shard);
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        fpsnr_obs::add("store.cache.miss", 1);
+
+        let result = self.decode_block_uncached(b).map(Arc::new);
+
+        let mut shard = self.shards[shard_i].lock().expect("store shard lock");
+        shard.inflight.remove(&b);
+        if let Ok(data) = &result {
+            self.insert_and_evict(&mut shard, b, Arc::clone(data));
+        }
+        drop(shard);
+        *flight.done.lock().expect("flight lock") = Some(result.clone());
+        flight.cv.notify_all();
+        result
     }
 
     fn insert_and_evict(&self, shard: &mut Shard<T>, b: usize, data: Arc<Vec<T>>) {
